@@ -18,13 +18,15 @@ in ``O(m log n)`` work and ``O(log m log n)`` depth.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from repro.config import SolverOptions, default_options
 from repro.core.chain import CholeskyChain, Level
 from repro.core.dd_subset import five_dd_subset
 from repro.core.terminal_walks import TerminalWalkStats, terminal_walks
-from repro.errors import FactorizationError
+from repro.errors import ConnectivityCertificateWarning, FactorizationError
 from repro.graphs.laplacian import laplacian, laplacian_blocks
 from repro.graphs.multigraph import MultiGraph
 from repro.pram import charge
@@ -34,12 +36,22 @@ from repro.sampling.walks import WalkEngine
 
 __all__ = ["block_cholesky"]
 
+#: Schur samples drawn per level before the certificate gives up.
+MAX_ATTEMPTS = 25
 
-def _sample_schur_connected(current: MultiGraph, C: np.ndarray,
-                            rng, opts: SolverOptions,
-                            max_retries: int = 25,
-                            engine=None, ctx=None, sampler=None
-                            ) -> "tuple[MultiGraph, TerminalWalkStats]":
+
+def _components_on(graph: MultiGraph, vertices: np.ndarray) -> int:
+    """Number of connected components of ``graph`` that meet ``vertices``."""
+    from repro.graphs.validation import connected_components
+
+    labels = connected_components(graph)
+    return int(np.count_nonzero(np.bincount(labels[vertices])))
+
+
+def _sample_schur_connected(
+        current: MultiGraph, C: np.ndarray, rng, opts: SolverOptions,
+        baseline: int, engine=None, ctx=None, sampler=None
+) -> tuple[MultiGraph, TerminalWalkStats, int, int]:
     """``TerminalWalks`` with a connectivity certificate.
 
     Fact 2.4: the *exact* Schur complement of a connected graph is
@@ -53,41 +65,32 @@ def _sample_schur_connected(current: MultiGraph, C: np.ndarray,
     cut edges (e.g. barbells), where a level has a constant chance of
     dropping every copy of a bridge.
 
+    A sound sample has at most ``baseline`` components among ``C``
+    (the count of ``current`` on its active set; DESIGN.md §14).
     ``engine``/``ctx``/``sampler`` thread a prebuilt walk engine
     (shared across retries — the CSR, and hence any alias planes, do
     not change between resamples), the execution context, and the row-
     sampler choice through to :func:`terminal_walks`.  Returns the
-    accepted sample together with its :class:`TerminalWalkStats` (the
-    incremental store consumes ``passthrough_stored``).
+    sample, its :class:`TerminalWalkStats` (the incremental store
+    consumes ``passthrough_stored``), its component count on ``C`` and
+    the number of samples drawn.
     """
-    from repro.graphs.validation import connected_components
-
-    # Baseline component count of the graph being eliminated: a sound
-    # sample must not create *new* components (== 0 extra for connected
-    # inputs; pathological already-disconnected inputs keep their count).
-    active = np.union1d(C, np.union1d(np.unique(current.u),
-                                      np.unique(current.v)))
-    cur_sub, _ = current.induced_subgraph(active)
-    baseline = int(connected_components(cur_sub).max(initial=0))
-
-    last = None
-    for _ in range(max_retries):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         nxt, stats = terminal_walks(current, C, seed=rng,
                                     max_steps=opts.max_walk_steps,
                                     return_stats=True,
                                     engine=engine, ctx=ctx,
                                     sampler=sampler)
-        sub, _ = nxt.induced_subgraph(C)
-        labels = connected_components(sub)
-        if int(labels.max(initial=0)) <= baseline:
-            return nxt, stats
-        last = nxt, stats
-    # Give up and return the last sample: the dense base case and the
-    # outer Richardson/PCG loop still behave (slowly) with a weak
-    # preconditioner, and pathological inputs shouldn't hard-fail.
-    return last if last is not None else terminal_walks(
-        current, C, seed=rng, max_steps=opts.max_walk_steps,
-        return_stats=True, engine=engine, ctx=ctx, sampler=sampler)
+        components = _components_on(nxt, C)
+        if components <= baseline:
+            return nxt, stats, components, attempt
+    # Give up and keep the last sample: the dense base case and the
+    # outer Richardson/PCG loop still run with a weak preconditioner.
+    warnings.warn(f"connectivity certificate gave up after {MAX_ATTEMPTS} "
+                  f"samples: {components} components among {C.size} "
+                  f"kept vertices, at most {baseline} expected",
+                  ConnectivityCertificateWarning, stacklevel=3)
+    return nxt, stats, components, MAX_ATTEMPTS
 
 
 def block_cholesky(graph: MultiGraph,
@@ -141,6 +144,10 @@ def block_cholesky(graph: MultiGraph,
     logical_edges: list[int] = [graph.m_logical]
     stored_edges: list[int] = [graph.m]
     levels: list[Level] = []
+    attempts: list[int] = []
+    # Each level's certified count on C is the next level's baseline
+    # (DESIGN.md §14): only the input graph is counted from scratch.
+    components = _components_on(graph, active)
     max_levels = int(np.ceil(np.log(max(graph.n, 2))
                              / np.log(40.0 / 39.0))) + 10
 
@@ -168,9 +175,10 @@ def block_cholesky(graph: MultiGraph,
             engine = WalkEngine.from_adjacency(view, slot_mult, is_term,
                                                sampler=sampler,
                                                alias_planes=planes)
-        nxt, walk_stats = _sample_schur_connected(current, C, rng, opts,
-                                                  engine=engine, ctx=ctx,
-                                                  sampler=sampler)
+        nxt, walk_stats, components, tries = _sample_schur_connected(
+            current, C, rng, opts, components,
+            engine=engine, ctx=ctx, sampler=sampler)
+        attempts.append(tries)
         if inc is not None:
             # The accepted sample's layout is pass-through groups (the
             # edges not incident to F, order preserved) followed by the
@@ -224,4 +232,5 @@ def block_cholesky(graph: MultiGraph,
                          final_active=active, final_pinv=final_pinv,
                          jacobi_eps=jacobi_eps,
                          logical_edges=logical_edges,
-                         stored_edges=stored_edges)
+                         stored_edges=stored_edges,
+                         certificate_attempts=attempts)

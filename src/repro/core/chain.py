@@ -110,6 +110,8 @@ class CholeskyChain:
     jacobi_eps: float
     logical_edges: list[int] | None = None
     stored_edges: list[int] | None = None
+    #: Schur samples drawn per level by the connectivity certificate.
+    certificate_attempts: list[int] | None = None
 
     @property
     def d(self) -> int:

@@ -122,6 +122,15 @@ class FactorizationError(ReproError):
     5-DD subset could not be found)."""
 
 
+class ConnectivityCertificateWarning(RuntimeWarning):
+    """``BlockCholesky`` kept a Schur sample that stayed disconnected.
+
+    Emitted after ``MAX_ATTEMPTS`` disconnected samples at one level
+    (Fact 2.4); the chain is then a weak preconditioner.  Samples per
+    level are on ``CholeskyChain.certificate_attempts``.
+    """
+
+
 class SamplingError(ReproError):
     """A random-sampling primitive was given an invalid distribution
     (e.g. non-positive total weight)."""

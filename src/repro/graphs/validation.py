@@ -2,13 +2,14 @@
 
 Fact 2.3 of the paper: for connected ``G``, ``ker(L_G) = span(1)``.
 The solver therefore requires a connected input; these helpers verify
-it (union–find over the edge arrays — near-linear work, and unlike a
-BFS it is also the natural "parallel" formulation via hooking).
+it with one compiled traversal (``scipy.sparse.csgraph``); the ledger
+still charges the PRAM hooking (parallel union–find) cost model.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import coo_array, csgraph
 
 from repro.errors import GraphStructureError, NotConnectedError
 from repro.graphs.multigraph import MultiGraph
@@ -19,41 +20,17 @@ __all__ = ["connected_components", "is_connected", "validate_graph",
            "require_connected"]
 
 
-class _DSU:
-    """Array-based union–find with path halving and union by size."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = np.arange(n, dtype=np.int64)
-        self.size = np.ones(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return int(x)
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
 def connected_components(graph: MultiGraph) -> np.ndarray:
-    """Component label (0-based, order of first appearance) per vertex."""
-    dsu = _DSU(graph.n)
-    for a, b in zip(graph.u.tolist(), graph.v.tolist()):
-        dsu.union(a, b)
-    roots = np.fromiter((dsu.find(x) for x in range(graph.n)),
-                        dtype=np.int64, count=graph.n)
-    _, labels = np.unique(roots, return_inverse=True)
+    """Component label (0-based, order of first appearance) per vertex.
+
+    Structure only: csgraph keeps an entry whose summed ``w`` is zero
+    as an edge, so no weight can hide one.
+    """
+    adjacency = coo_array((graph.w, (graph.u, graph.v)),
+                          shape=(graph.n, graph.n))
+    _, labels = csgraph.connected_components(adjacency, directed=False)
     charge(*P.reduce_cost(graph.m + graph.n), label="connected_components")
-    return labels
+    return labels.astype(np.int64)
 
 
 def is_connected(graph: MultiGraph) -> bool:
